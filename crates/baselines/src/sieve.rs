@@ -84,7 +84,7 @@ impl TracingFramework for Sieve {
             self.report.network_bytes += bytes;
             scored.push((index, forest.score(&features[index])));
         }
-        scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+        rank_by_score(&mut scored);
         let budget = ((traces.len() as f64 * self.budget_rate).ceil() as usize).min(traces.len());
         for &(index, _) in scored.iter().take(budget) {
             let trace = &traces.traces()[index];
@@ -110,6 +110,12 @@ impl TracingFramework for Sieve {
     fn analysis_views(&self) -> Vec<TraceView> {
         self.stored.values().cloned().collect()
     }
+}
+
+/// Orders `(trace index, anomaly score)` pairs most anomalous first; equal
+/// scores keep index order.
+fn rank_by_score(scored: &mut [(usize, f64)]) {
+    scored.sort_by(|a, b| b.1.total_cmp(&a.1));
 }
 
 #[cfg(test)]
@@ -173,6 +179,28 @@ mod tests {
             .count();
         assert!(misses > 150);
         assert!(sieve.analysis_views().len() <= 12);
+    }
+
+    #[test]
+    fn nan_scores_rank_without_panicking() {
+        let mut scored: Vec<(usize, f64)> = (0..64)
+            .map(|i| {
+                let score = if i % 3 == 0 {
+                    f64::NAN
+                } else {
+                    (i * 37 % 101) as f64
+                };
+                (i, score)
+            })
+            .collect();
+        rank_by_score(&mut scored);
+        let finite: Vec<f64> = scored
+            .iter()
+            .map(|&(_, score)| score)
+            .filter(|score| !score.is_nan())
+            .collect();
+        assert!(finite.windows(2).all(|pair| pair[0] >= pair[1]));
+        assert_eq!(scored.len(), 64);
     }
 
     #[test]

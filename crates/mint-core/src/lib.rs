@@ -82,7 +82,9 @@ pub use lcs::{
 };
 pub use merge::MergeStats;
 pub use params::{ParamValue, ParamsBuffer, SpanParams, TraceParams};
-pub use samplers::{EdgeCaseSampler, HeadSampler, SamplerDecision, SymptomSampler};
+pub use samplers::{
+    AbnormalWords, EdgeCaseSampler, HeadSampler, QuantileTracker, SamplerDecision, SymptomSampler,
+};
 pub use sharded::{shard_of, ShardedDeployment};
 pub use snapshot::{BackendSnapshot, QueryHandle};
 pub use span_parser::{

@@ -40,42 +40,146 @@ impl SamplerDecision {
     }
 }
 
-/// Streaming quantile tracker: keeps a bounded reservoir of recent values
-/// and reports the configured quantile over it.
+/// Values of history kept per operation and per numeric attribute.
+const WINDOW: usize = 512;
+
+/// Fewest values a window needs before it reports a quantile.
+const MIN_SAMPLES: usize = 8;
+
+/// Exact quantile over a sliding window of the most recent finite values.
+///
+/// The window is held twice: in insertion order, to know which value leaves
+/// next, and sorted by [`f64::total_cmp`], to read any order statistic by
+/// index.  Each [`observe`](Self::observe) moves one value in and one out of
+/// the sorted copy with two binary searches and a single shift, so a read
+/// never sorts.  Non-finite values are refused, so the window is always a set
+/// of finite values whose sorted order is the one a comparison sort gives.
 #[derive(Debug, Clone)]
-struct QuantileTracker {
-    values: Vec<f64>,
+pub struct QuantileTracker {
+    /// The window in insertion order; once full, `cursor` is its oldest.
+    ring: Vec<f64>,
+    /// The same values, ascending by `f64::total_cmp`.
+    sorted: Vec<f64>,
     capacity: usize,
     cursor: usize,
 }
 
 impl QuantileTracker {
-    fn new(capacity: usize) -> Self {
+    /// Creates an empty tracker over the last `capacity` values (at least 8).
+    pub fn new(capacity: usize) -> Self {
         QuantileTracker {
-            values: Vec::with_capacity(capacity.min(64)),
-            capacity: capacity.max(8),
+            ring: Vec::with_capacity(capacity.min(64)),
+            sorted: Vec::with_capacity(capacity.min(64)),
+            capacity: capacity.max(MIN_SAMPLES),
             cursor: 0,
         }
     }
 
-    fn observe(&mut self, value: f64) {
-        if self.values.len() < self.capacity {
-            self.values.push(value);
+    /// Adds `value` to the window, evicting the oldest value once it is full.
+    /// Returns `false`, leaving the window unchanged, when `value` is NaN or
+    /// infinite.
+    pub fn observe(&mut self, value: f64) -> bool {
+        if !value.is_finite() {
+            return false;
+        }
+        let insert_at = self.sorted.partition_point(|x| x.total_cmp(&value).is_lt());
+        if self.ring.len() < self.capacity {
+            self.ring.push(value);
+            self.sorted.insert(insert_at, value);
+            return true;
+        }
+        let evicted = std::mem::replace(&mut self.ring[self.cursor], value);
+        self.cursor = (self.cursor + 1) % self.capacity;
+        // `evicted` is in `sorted` bit for bit, so this lands on a copy of it.
+        let evict_at = self
+            .sorted
+            .partition_point(|x| x.total_cmp(&evicted).is_lt());
+        // Shift only the values between the two slots.
+        if evict_at < insert_at {
+            self.sorted.copy_within(evict_at + 1..insert_at, evict_at);
+            self.sorted[insert_at - 1] = value;
         } else {
-            self.values[self.cursor] = value;
-            self.cursor = (self.cursor + 1) % self.capacity;
+            self.sorted.copy_within(insert_at..evict_at, insert_at + 1);
+            self.sorted[insert_at] = value;
+        }
+        true
+    }
+
+    /// The `q`-quantile of the window: the value at rank
+    /// `round((len - 1) * q)`, or `None` below 8 values.
+    pub fn quantile(&self, q: f64) -> Option<f64> {
+        if self.sorted.len() < MIN_SAMPLES {
+            return None;
+        }
+        let rank = ((self.sorted.len() as f64 - 1.0) * q).round() as usize;
+        self.sorted.get(rank).copied()
+    }
+}
+
+/// ASCII case-insensitive search for any of a set of words.
+///
+/// Equivalent to `value.to_ascii_lowercase().contains(word)` over the
+/// lower-cased words, without allocating: a 256-entry table of the bytes a
+/// word can start with limits the comparisons to the offsets that can match.
+#[derive(Debug, Clone)]
+pub struct AbnormalWords {
+    /// The non-empty words, lower-cased.
+    words: Vec<String>,
+    /// `starts[b]`: some word begins with the lower-case byte `b`.
+    starts: [bool; 256],
+    /// An empty word occurs in every value.
+    has_empty: bool,
+}
+
+impl AbnormalWords {
+    /// Builds the search for `words`; upper-case ASCII in them is ignored.
+    pub fn new<S: AsRef<str>>(words: &[S]) -> Self {
+        let mut starts = [false; 256];
+        let mut has_empty = false;
+        let mut lowered = Vec::with_capacity(words.len());
+        for word in words {
+            let word = word.as_ref().to_ascii_lowercase();
+            match word.as_bytes().first() {
+                Some(&first) => {
+                    starts[usize::from(first)] = true;
+                    lowered.push(word);
+                }
+                None => has_empty = true,
+            }
+        }
+        AbnormalWords {
+            words: lowered,
+            starts,
+            has_empty,
         }
     }
 
-    fn quantile(&self, q: f64) -> Option<f64> {
-        if self.values.len() < 8 {
-            return None;
+    /// Whether any word occurs in `value`, ignoring ASCII case.
+    pub fn matches(&self, value: &str) -> bool {
+        if self.has_empty {
+            return true;
         }
-        let mut sorted = self.values.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let rank = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-        sorted.get(rank).copied()
+        let bytes = value.as_bytes();
+        bytes.iter().enumerate().any(|(at, byte)| {
+            self.starts[usize::from(byte.to_ascii_lowercase())]
+                && self.words.iter().any(|word| {
+                    bytes
+                        .get(at..at + word.len())
+                        .is_some_and(|window| window.eq_ignore_ascii_case(word.as_bytes()))
+                })
+        })
     }
+}
+
+/// Whether `value` is a clear outlier against `tracker`'s window — more than
+/// twice its `q`-quantile — judged before `value` joins the window.  Counts a
+/// non-finite `value` in `non_finite`.
+fn judge(tracker: &mut QuantileTracker, q: f64, value: f64, non_finite: &mut u64) -> bool {
+    let outlier = tracker.quantile(q).is_some_and(|p| value > p * 2.0);
+    if !tracker.observe(value) {
+        *non_finite += 1;
+    }
+    outlier
 }
 
 /// The Symptom Sampler: monitors the variable parameters flowing through the
@@ -84,28 +188,28 @@ impl QuantileTracker {
 /// their attribute's recent history) as sampled.
 #[derive(Debug, Clone)]
 pub struct SymptomSampler {
-    abnormal_words: Vec<String>,
+    abnormal_words: AbnormalWords,
     quantile: f64,
+    /// Attribute key → history of its numeric values.
     numeric_history: HashMap<String, QuantileTracker>,
-    duration_history: HashMap<String, QuantileTracker>,
+    /// Service → operation name → history of its span durations.
+    duration_history: HashMap<String, HashMap<String, QuantileTracker>>,
     observed_spans: u64,
     triggered: u64,
+    non_finite_values: u64,
 }
 
 impl SymptomSampler {
     /// Creates a sampler from the Mint configuration.
     pub fn new(config: &MintConfig) -> Self {
         SymptomSampler {
-            abnormal_words: config
-                .abnormal_words
-                .iter()
-                .map(|w| w.to_ascii_lowercase())
-                .collect(),
+            abnormal_words: AbnormalWords::new(&config.abnormal_words),
             quantile: config.symptom_quantile,
             numeric_history: HashMap::new(),
             duration_history: HashMap::new(),
             observed_spans: 0,
             triggered: 0,
+            non_finite_values: 0,
         }
     }
 
@@ -115,41 +219,48 @@ impl SymptomSampler {
         let mut symptomatic = span.status().is_error();
 
         // Latency outlier relative to the (service, operation)'s history.
-        let op_key = format!("{}::{}", span.service(), span.name());
-        let duration = span.duration_us() as f64;
-        let tracker = self
-            .duration_history
-            .entry(op_key)
-            .or_insert_with(|| QuantileTracker::new(512));
-        if let Some(p) = tracker.quantile(self.quantile) {
-            // Require a clear outlier (well above the P95 of recent history)
-            // so ordinary jitter does not inflate the sampled fraction.
-            if duration > p * 2.0 {
-                symptomatic = true;
-            }
-        }
-        tracker.observe(duration);
+        // Keys are copied only the first time they are seen.
+        let operations = match self.duration_history.get_mut(span.service()) {
+            Some(operations) => operations,
+            None => self
+                .duration_history
+                .entry(span.service().to_owned())
+                .or_default(),
+        };
+        let tracker = match operations.get_mut(span.name()) {
+            Some(tracker) => tracker,
+            None => operations
+                .entry(span.name().to_owned())
+                .or_insert_with(|| QuantileTracker::new(WINDOW)),
+        };
+        // Require a clear outlier (well above the P95 of recent history) so
+        // ordinary jitter does not inflate the sampled fraction.
+        symptomatic |= judge(
+            tracker,
+            self.quantile,
+            span.duration_us() as f64,
+            &mut self.non_finite_values,
+        );
 
         for (key, value) in span.attributes().iter() {
             match value {
                 AttrValue::Str(s) => {
-                    let lower = s.to_ascii_lowercase();
-                    if self.abnormal_words.iter().any(|w| lower.contains(w)) {
+                    // The scan has no side effect, so a span already judged
+                    // symptomatic skips it.
+                    if !symptomatic && self.abnormal_words.matches(s) {
                         symptomatic = true;
                     }
                 }
                 AttrValue::Int(_) | AttrValue::Float(_) => {
                     let v = value.as_f64().unwrap_or(0.0);
-                    let tracker = self
-                        .numeric_history
-                        .entry(key.to_owned())
-                        .or_insert_with(|| QuantileTracker::new(512));
-                    if let Some(p) = tracker.quantile(self.quantile) {
-                        if v > p * 2.0 {
-                            symptomatic = true;
-                        }
-                    }
-                    tracker.observe(v);
+                    let tracker = match self.numeric_history.get_mut(key) {
+                        Some(tracker) => tracker,
+                        None => self
+                            .numeric_history
+                            .entry(key.to_owned())
+                            .or_insert_with(|| QuantileTracker::new(WINDOW)),
+                    };
+                    symptomatic |= judge(tracker, self.quantile, v, &mut self.non_finite_values);
                 }
                 AttrValue::Bool(_) => {}
             }
@@ -168,6 +279,13 @@ impl SymptomSampler {
     /// Number of spans flagged symptomatic so far.
     pub fn triggered(&self) -> u64 {
         self.triggered
+    }
+
+    /// Number of NaN or infinite numeric values seen so far.  Each was judged
+    /// (`+inf` is an outlier against any finite history) but kept out of its
+    /// window, so it cannot skew later quantiles.
+    pub fn non_finite_values(&self) -> u64 {
+        self.non_finite_values
     }
 }
 
@@ -321,6 +439,39 @@ mod tests {
             .attr("queue.depth", AttrValue::Int(10_000))
             .build();
         assert!(sampler.observe_span(&spike));
+    }
+
+    #[test]
+    fn non_finite_values_are_judged_but_kept_out_of_the_window() {
+        let mut sampler = SymptomSampler::new(&MintConfig::default());
+        let ratio_span = |i: u64, value: f64| {
+            Span::builder(TraceId::from_u128(1), SpanId::from_u64(i))
+                .service("svc")
+                .name("op")
+                .duration_us(100)
+                .attr("ratio", AttrValue::Float(value))
+                .build()
+        };
+        // Dense NaNs among unordered finite values, all on one operation.
+        // (A strict NaN/finite alternation happens not to trip the standard
+        // sort's order check; every third value does, at span 22.)
+        for i in 0..128u64 {
+            let value = if i % 3 == 0 {
+                f64::NAN
+            } else {
+                (i * 37 % 101) as f64
+            };
+            let symptomatic = sampler.observe_span(&ratio_span(i, value));
+            if value.is_nan() {
+                assert!(!symptomatic, "NaN flagged at span {i}");
+            }
+        }
+        // Infinities are judged against the finite window, never entered.
+        assert!(sampler.observe_span(&ratio_span(128, f64::INFINITY)));
+        assert!(!sampler.observe_span(&ratio_span(129, f64::NEG_INFINITY)));
+        assert!(sampler.observe_span(&ratio_span(130, f64::INFINITY)));
+        assert_eq!(sampler.observed_spans(), 131);
+        assert_eq!(sampler.non_finite_values(), 43 + 3);
     }
 
     #[test]

@@ -69,13 +69,43 @@ pub trait RcaMethod {
 }
 
 /// Sorts a score map into a ranking, most suspicious first, breaking ties by
-/// service name for determinism.
+/// service name for determinism.  Scores compare by [`f64::total_cmp`], so a
+/// NaN score has a fixed place (a positive NaN ranks first) instead of
+/// breaking the sort.
 pub(crate) fn sorted_ranking(scores: std::collections::HashMap<String, f64>) -> Ranking {
     let mut ranking: Ranking = scores.into_iter().collect();
-    ranking.sort_by(|a, b| {
-        b.1.partial_cmp(&a.1)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.0.cmp(&b.0))
-    });
+    ranking.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     ranking
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::HashMap;
+
+    #[test]
+    fn nan_scores_rank_deterministically_without_panicking() {
+        // Dense NaNs across more services than a small sort handles alone.
+        let scores: Vec<(String, f64)> = (0..64)
+            .map(|i| {
+                let score = if i % 3 == 0 {
+                    f64::NAN
+                } else {
+                    (i * 37 % 101) as f64
+                };
+                (format!("svc-{i:02}"), score)
+            })
+            .collect();
+        let forward = sorted_ranking(scores.iter().cloned().collect::<HashMap<_, _>>());
+        let backward = sorted_ranking(scores.iter().rev().cloned().collect::<HashMap<_, _>>());
+        let names = |r: &Ranking| r.iter().map(|(name, _)| name.clone()).collect::<Vec<_>>();
+        assert_eq!(names(&forward), names(&backward));
+        let finite: Vec<f64> = forward
+            .iter()
+            .map(|(_, score)| *score)
+            .filter(|score| !score.is_nan())
+            .collect();
+        assert!(finite.windows(2).all(|pair| pair[0] >= pair[1]));
+        assert_eq!(forward.len(), 64);
+    }
 }
